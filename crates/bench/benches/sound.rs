@@ -1,8 +1,8 @@
 //! The PR-5 perf bench: cost of the fourth (LP-sound) method and of the
 //! full validation cell, plus the tracked point for the per-thread
-//! combinatorial scratch (`CliqueScratch`/`RhoScratch` now live in
-//! thread-locals and are reused across every task set a worker analyzes,
-//! instead of being reallocated per `TaskSetCache`).
+//! combinatorial scratch (`CliqueScratch` lives in a thread-local and is
+//! reused across every task set a worker analyzes, instead of being
+//! reallocated per `TaskSetCache`).
 //!
 //! Measured, each as the median of [`SAMPLES`] runs over a Figure 2(a)
 //! grid population:
@@ -161,7 +161,7 @@ fn main() {
     // The blocking-heavy workload the per-thread scratch serves: every
     // set's LP-ILP analysis on this (warm) thread. The absolute median is
     // the tracked point; before PR 5 each of these sets paid fresh
-    // CliqueScratch/RhoScratch allocations inside its own cache.
+    // scratch allocations inside its own cache.
     let ilp = AnalysisConfig::new(CORES, Method::LpIlp);
     let lp_ilp_warm_scratch_ns = measure(|| {
         sets.iter()

@@ -20,150 +20,68 @@ pub struct Assignment {
     pub column_of: Vec<usize>,
 }
 
-/// Reusable working memory for the Hungarian algorithm.
-///
-/// One `ρ_k[s_l]` evaluation needs six short per-call vectors; a Figure 2
-/// sweep performs millions of them. Callers on that hot path keep one
-/// scratch alive and hand it to [`max_weight_assignment_total`], which then
-/// performs no allocation at all once the buffers have grown to the largest
-/// problem seen.
-#[derive(Clone, Debug, Default)]
-pub struct AssignmentScratch {
-    u: Vec<i64>,
-    v: Vec<i64>,
-    row_of_col: Vec<usize>,
-    way: Vec<usize>,
-    minv: Vec<i64>,
-    used: Vec<bool>,
-}
-
-impl AssignmentScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, rows: usize, cols: usize) {
-        self.u.clear();
-        self.u.resize(rows + 1, 0);
-        self.v.clear();
-        self.v.resize(cols + 1, 0);
-        self.row_of_col.clear();
-        self.row_of_col.resize(cols + 1, 0);
-        self.way.clear();
-        self.way.resize(cols + 1, 0);
-        self.minv.resize(cols + 1, 0);
-        self.used.resize(cols + 1, false);
-    }
-}
-
 /// Hungarian algorithm with potentials (e-maxx formulation), minimizing the
 /// negated weights. Indices are 1-based internally; index 0 is the virtual
-/// start column. On return `scratch.row_of_col[j]` holds the (1-based) row
-/// assigned to column `j`, or 0 when the column is unused.
+/// start column. Returns `row_of_col`, where `row_of_col[j]` is the
+/// (1-based) row assigned to column `j`, or 0 when the column is unused.
 ///
 /// Requires `1 <= rows <= cols`.
-fn hungarian(
-    rows: usize,
-    cols: usize,
-    weight: &impl Fn(usize, usize) -> u64,
-    s: &mut AssignmentScratch,
-) {
-    s.reset(rows, cols);
-    let cost = |r: usize, c: usize| -> i64 { -(weight(r, c) as i64) };
+fn hungarian(weights: &[Vec<u64>], rows: usize, cols: usize) -> Vec<usize> {
+    let cost = |r: usize, c: usize| -> i64 { -(weights[r][c] as i64) };
+    let mut u = vec![0i64; rows + 1];
+    let mut v = vec![0i64; cols + 1];
+    let mut row_of_col = vec![0usize; cols + 1];
+    let mut way = vec![0usize; cols + 1];
 
     for r in 1..=rows {
-        s.row_of_col[0] = r;
+        row_of_col[0] = r;
         let mut j0 = 0usize;
-        for j in 0..=cols {
-            s.minv[j] = i64::MAX;
-            s.used[j] = false;
-        }
+        let mut minv = vec![i64::MAX; cols + 1];
+        let mut used = vec![false; cols + 1];
         loop {
-            s.used[j0] = true;
-            let i0 = s.row_of_col[j0];
+            used[j0] = true;
+            let i0 = row_of_col[j0];
             let mut delta = i64::MAX;
             let mut j1 = 0usize;
             for j in 1..=cols {
-                if s.used[j] {
+                if used[j] {
                     continue;
                 }
-                let cur = cost(i0 - 1, j - 1) - s.u[i0] - s.v[j];
-                if cur < s.minv[j] {
-                    s.minv[j] = cur;
-                    s.way[j] = j0;
+                let cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
+                if cur < minv[j] {
+                    minv[j] = cur;
+                    way[j] = j0;
                 }
-                if s.minv[j] < delta {
-                    delta = s.minv[j];
+                if minv[j] < delta {
+                    delta = minv[j];
                     j1 = j;
                 }
             }
             debug_assert!(delta < i64::MAX, "augmenting path must exist");
             for j in 0..=cols {
-                if s.used[j] {
-                    s.u[s.row_of_col[j]] += delta;
-                    s.v[j] -= delta;
+                if used[j] {
+                    u[row_of_col[j]] += delta;
+                    v[j] -= delta;
                 } else {
-                    s.minv[j] -= delta;
+                    minv[j] -= delta;
                 }
             }
             j0 = j1;
-            if s.row_of_col[j0] == 0 {
+            if row_of_col[j0] == 0 {
                 break;
             }
         }
         // Unwind the augmenting path.
         loop {
-            let j1 = s.way[j0];
-            s.row_of_col[j0] = s.row_of_col[j1];
+            let j1 = way[j0];
+            row_of_col[j0] = row_of_col[j1];
             j0 = j1;
             if j0 == 0 {
                 break;
             }
         }
     }
-}
-
-/// The optimal total of a maximum-weight assignment, without materializing
-/// the weight matrix or the assignment itself.
-///
-/// `weight(r, c)` is the gain of assigning row `r` to column `c` (callers
-/// typically close over µ-arrays and scenario parts). Returns `None` when
-/// `rows > cols` — the infeasible-scenario case of [`max_weight_assignment`].
-/// Reuses `scratch` across calls, so the sweep-campaign inner loop performs
-/// no allocation.
-///
-/// # Example
-///
-/// ```
-/// use rta_combinatorics::{max_weight_assignment_total, AssignmentScratch};
-///
-/// let weights = [[9u64, 7, 0], [4, 6, 5]];
-/// let mut scratch = AssignmentScratch::new();
-/// let total = max_weight_assignment_total(2, 3, |r, c| weights[r][c], &mut scratch);
-/// assert_eq!(total, Some(15));
-/// ```
-pub fn max_weight_assignment_total(
-    rows: usize,
-    cols: usize,
-    weight: impl Fn(usize, usize) -> u64,
-    scratch: &mut AssignmentScratch,
-) -> Option<u64> {
-    if rows == 0 {
-        return Some(0);
-    }
-    if rows > cols {
-        return None;
-    }
-    hungarian(rows, cols, &weight, scratch);
-    let mut total = 0u64;
-    for j in 1..=cols {
-        let r = scratch.row_of_col[j];
-        if r != 0 {
-            total += weight(r - 1, j - 1);
-        }
-    }
-    Some(total)
+    row_of_col
 }
 
 /// Computes a maximum-weight assignment of every row to a distinct column.
@@ -212,13 +130,11 @@ pub fn max_weight_assignment(weights: &[Vec<u64>]) -> Option<Assignment> {
         return None;
     }
 
-    let mut scratch = AssignmentScratch::new();
-    hungarian(rows, cols, &|r, c| weights[r][c], &mut scratch);
-
+    let row_of_col = hungarian(weights, rows, cols);
     let mut column_of = vec![usize::MAX; rows];
     for j in 1..=cols {
-        if scratch.row_of_col[j] != 0 {
-            column_of[scratch.row_of_col[j] - 1] = j - 1;
+        if row_of_col[j] != 0 {
+            column_of[row_of_col[j] - 1] = j - 1;
         }
     }
     debug_assert!(column_of.iter().all(|&c| c != usize::MAX));
@@ -329,29 +245,6 @@ mod tests {
         let a = max_weight_assignment(&w).expect("feasible");
         // ρ[s3] = µ4[2] + µ3[1] + µ2[1] = 9 + 6 + 4 = 19 (paper Table III).
         assert_eq!(a.total, 19);
-    }
-
-    #[test]
-    fn total_agrees_with_full_assignment_and_reuses_scratch() {
-        // One scratch across problems of different shapes, interleaved with
-        // infeasible and empty cases.
-        let mut scratch = AssignmentScratch::new();
-        let cases: Vec<Vec<Vec<u64>>> = vec![
-            vec![vec![3, 1, 4], vec![1, 5, 9], vec![2, 6, 5]],
-            vec![vec![5, 100, 5, 7]],
-            vec![vec![9, 8], vec![9, 1]],
-            vec![vec![0, 0], vec![0, 0]],
-            vec![vec![1], vec![2]], // infeasible: more rows than columns
-            vec![],
-            vec![vec![10, 1, 1], vec![1, 10, 1], vec![1, 1, 10]],
-        ];
-        for w in cases {
-            let rows = w.len();
-            let cols = w.first().map_or(0, Vec::len);
-            let total = max_weight_assignment_total(rows, cols, |r, c| w[r][c], &mut scratch);
-            let full = max_weight_assignment(&w).map(|a| a.total);
-            assert_eq!(total, full, "matrix {w:?}");
-        }
     }
 
     #[test]

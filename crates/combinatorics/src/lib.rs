@@ -10,15 +10,19 @@
 //!   paper (Section IV-B), which are exactly the integer partitions of the
 //!   core count `m`, together with the pentagonal-number-theorem counter
 //!   [`partitions::partition_count`];
-//! * [`PartitionTable`] — a process-global memo of the scenario lists: each
-//!   cardinality is enumerated once per process and shared as a `&'static`
-//!   slice by every task-set analysis and worker thread;
 //! * [`assignment`] — maximum-weight assignment (Hungarian algorithm), the
 //!   combinatorial equivalent of the paper's ILP formulation for the overall
-//!   worst-case workload `ρ_k[s_l]` (Section V-B);
+//!   worst-case workload `ρ_k[s_l]` (Section V-B) of one scenario;
 //! * [`clique`] — maximum-weight clique of prescribed cardinality, the
 //!   combinatorial equivalent of the paper's ILP formulation for the
 //!   per-task worst-case workload `µ_i[c]` (Section V-A2).
+//!
+//! The analysis hot path enumerates no scenarios: `rta-analysis` reads the
+//! maximum over `e_m` from a group-knapsack table over lower-priority tasks
+//! × cores (`rta_analysis::cache::DeltaTable`), polynomial in `m`.
+//! Partition enumeration and the assignment solver serve the paper's
+//! per-scenario tables (Tables II and III) and the analysis crate's
+//! enumerating oracle.
 //!
 //! Everything here is exact integer arithmetic; there is no floating point
 //! and no `unsafe`.
@@ -40,15 +44,11 @@
 pub mod assignment;
 pub mod bitset;
 pub mod clique;
-pub mod partition_table;
 pub mod partitions;
 
-pub use assignment::{
-    max_weight_assignment, max_weight_assignment_total, Assignment, AssignmentScratch,
-};
+pub use assignment::{max_weight_assignment, Assignment};
 pub use bitset::BitSet;
 pub use clique::{
     max_weight_clique_of_size, max_weight_clique_weight, CliqueScratch, CliqueSolution,
 };
-pub use partition_table::PartitionTable;
 pub use partitions::{partition_count, partitions, Partition, Partitions};

@@ -20,13 +20,18 @@
 //! `ρ_k[s_l]` values from the ILP can exceed the scenario's true optimum.
 //! Tests therefore compare the two solvers on `Δ` and on non-degenerate
 //! scenarios such as Table III.
+//!
+//! Everything here is the paper's formulation taken literally: [`delta`]
+//! enumerates every partition of `m` and solves one assignment per
+//! scenario, so its cost grows like `p(m)`. It prints the per-scenario `ρ`
+//! of Table III and is the oracle of [`crate::analyze_uncached`]. The
+//! analysis path reads the same maxima from
+//! [`crate::cache::DeltaTable`], which solves Eq. (8) as a polynomial
+//! group knapsack over the lower-priority tasks instead.
 
 use super::BlockingBounds;
 use crate::config::{MuSolver, RhoSolver, ScenarioSpace};
-use rta_combinatorics::{
-    max_weight_assignment, max_weight_assignment_total, partitions, AssignmentScratch, Partition,
-    PartitionTable,
-};
+use rta_combinatorics::{max_weight_assignment, partitions, Partition};
 use rta_model::{DagTask, Time};
 
 /// The overall worst-case workload `ρ_k[s_l]` of one execution scenario
@@ -93,190 +98,6 @@ pub fn delta(
         ScenarioSpace::PaperExact => max_rho(cores as u32).unwrap_or(0),
         ScenarioSpace::Extended => (1..=cores as u32).filter_map(max_rho).max().unwrap_or(0),
     }
-}
-
-/// Reusable working memory for [`max_rho`] / [`max_rho_over`]: the
-/// Hungarian scratch plus a flat staging buffer for the per-scenario weight
-/// matrix, so the sweep-campaign inner loop performs no allocation.
-#[derive(Debug, Default)]
-pub struct RhoScratch {
-    assignment: AssignmentScratch,
-    /// Row-major `parts × tasks` weight matrix of the current scenario.
-    weights: Vec<u64>,
-}
-
-impl RhoScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// `max_{s_l ∈ e_c} ρ[s_l]` over the partitions of exactly `cores` — one
-/// cardinality row of the Δ table (Eq. (8) for a single platform slice).
-///
-/// This is the primitive [`crate::cache::TaskSetCache`] memoizes: `Δ^m`
-/// under [`ScenarioSpace::PaperExact`] is this value at `m`, and under
-/// [`ScenarioSpace::Extended`] the maximum of this value over `1..=m` — so
-/// one table of per-cardinality maxima serves `Δ^m`, `Δ^{m−1}`, both
-/// scenario spaces and every method. Returns 0 when no scenario is feasible
-/// (matching [`delta`]'s conventions).
-pub fn max_rho(
-    mu_arrays: &[&[Time]],
-    cores: u32,
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    if cores == 0 {
-        return 0;
-    }
-    max_rho_over(PartitionTable::scenarios(cores), mu_arrays, solver, scratch)
-}
-
-/// As [`max_rho`], over an explicit scenario list (the cache reads each
-/// cardinality's list from the process-global [`PartitionTable`] and reuses
-/// it for every task under analysis).
-///
-/// µ rows are borrowed slices so the cache can hand out its per-task arrays
-/// without copying; the Hungarian path stages each scenario's weight matrix
-/// in `scratch` and performs no allocation once warm.
-pub fn max_rho_over(
-    scenarios: &[Partition],
-    mu_arrays: &[&[Time]],
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    max_rho_iter(scenarios.iter(), mu_arrays, solver, scratch)
-}
-
-/// As [`max_rho_over`], over borrowed scenario references — the cache's
-/// mixed suffix-DP path hands in the non-DP-eligible remainder of a
-/// cardinality class without cloning the partitions.
-pub fn max_rho_over_refs(
-    scenarios: &[&Partition],
-    mu_arrays: &[&[Time]],
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    max_rho_iter(scenarios.iter().copied(), mu_arrays, solver, scratch)
-}
-
-fn max_rho_iter<'a>(
-    scenarios: impl Iterator<Item = &'a Partition>,
-    mu_arrays: &[&[Time]],
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    if mu_arrays.is_empty() {
-        return 0;
-    }
-    match solver {
-        RhoSolver::Hungarian => scenarios
-            .filter_map(|s| rho_hungarian_in(mu_arrays, s, scratch))
-            .max()
-            .unwrap_or(0),
-        RhoSolver::PaperIlp => {
-            // The ILP entry point wants owned rows; materialize them once
-            // for all scenarios, not per scenario.
-            let owned: Vec<Vec<Time>> = mu_arrays.iter().map(|mu| mu.to_vec()).collect();
-            scenarios
-                .filter_map(|s| super::paper_ilp::rho_ilp(&owned, s))
-                .max()
-                .unwrap_or(0)
-        }
-    }
-}
-
-/// Scratch-backed Hungarian `ρ`: same optimum as [`rho`] with
-/// [`RhoSolver::Hungarian`], zero allocation once warm.
-fn rho_hungarian_in(
-    mu_arrays: &[&[Time]],
-    scenario: &Partition,
-    scratch: &mut RhoScratch,
-) -> Option<Time> {
-    let parts = scenario.parts();
-    let (rows, cols) = (parts.len(), mu_arrays.len());
-    if rows > cols {
-        return None;
-    }
-    let mu_at = |mu: &[Time], c: u32| mu.get(c as usize - 1).copied().unwrap_or(0);
-    // A cardinality-1 scenario is a plain maximum — skip the assignment
-    // machinery (every `e_c` contains `{c}`, so this path is always hot).
-    if let [c] = parts {
-        return mu_arrays.iter().map(|mu| mu_at(mu, *c)).max();
-    }
-    scratch.weights.clear();
-    for &c in parts {
-        scratch
-            .weights
-            .extend(mu_arrays.iter().map(|mu| mu_at(mu, c)));
-    }
-    let weights = &scratch.weights;
-    max_weight_assignment_total(
-        rows,
-        cols,
-        |r, t| weights[r * cols + t],
-        &mut scratch.assignment,
-    )
-}
-
-/// `ρ_k[s]` of **every** task under analysis at once, by subset dynamic
-/// programming over task suffixes.
-///
-/// `lp(k)` shrinks by one task per priority level (`lp(k) = lp(k−1) \
-/// {τ_k}`), so the per-`k` assignment problems of one scenario overlap
-/// almost entirely. This DP walks the tasks from lowest to highest
-/// priority, maintaining `f[S]` — the best total workload assigning the
-/// scenario parts in subset `S` to distinct tasks of the suffix processed
-/// so far — and reads off `ρ_k[s] = f[all parts]` after each step: one
-/// `O(n · 2^|s| · |s|)` pass replaces `n` Hungarian solves.
-///
-/// `mu_tail[i]` is the µ-array of task `i + 1` (the highest-priority task
-/// blocks no one, so its µ is never consulted). Returns `out[k] = ρ_k[s]`
-/// for `k ∈ 0..=mu_tail.len()`, `None` where the scenario is infeasible
-/// (more parts than `lp(k)` tasks) — element-wise identical to [`rho`] with
-/// [`RhoSolver::Hungarian`] on each suffix.
-pub fn rho_suffix_dp(scenario: &Partition, mu_tail: &[&[Time]]) -> Vec<Option<Time>> {
-    let parts = scenario.parts();
-    let r = parts.len();
-    debug_assert!(
-        r < usize::BITS as usize,
-        "cardinality bounded by core count"
-    );
-    let full: usize = (1 << r) - 1;
-    let t = mu_tail.len();
-    let mu_at = |mu: &[Time], c: u32| mu.get(c as usize - 1).copied().unwrap_or(0);
-
-    // `f[S]` for the empty suffix: only the empty part set is assignable.
-    let mut f: Vec<Option<Time>> = vec![None; full + 1];
-    f[0] = Some(0);
-    let mut next = f.clone();
-    let mut out = vec![None; t + 1];
-    for i in (0..t).rev() {
-        // Incorporate task `i + 1`: each part subset either ignores it or
-        // assigns it one part `j`, leaving `S \ {j}` to strictly lower
-        // priorities (the old `f`).
-        let mu_i = mu_tail[i];
-        for (mask, slot) in next.iter_mut().enumerate() {
-            let mut best = f[mask];
-            let mut bits = mask;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if let Some(base) = f[mask & !(1 << j)] {
-                    let val = base + mu_at(mu_i, parts[j]);
-                    if best.is_none_or(|b| val > b) {
-                        best = Some(val);
-                    }
-                }
-            }
-            *slot = best;
-        }
-        std::mem::swap(&mut f, &mut next);
-        // `f` now covers tasks `i+1 ..= t` — exactly `lp(i)`.
-        out[i] = f[full];
-    }
-    out
 }
 
 /// The full LP-ILP blocking bound for a task under analysis: computes
@@ -356,57 +177,6 @@ mod tests {
                 let h = blocking_from_mu(&mu(), cores, RhoSolver::Hungarian, space);
                 let i = blocking_from_mu(&mu(), cores, RhoSolver::PaperIlp, space);
                 assert_eq!(h, i, "m = {cores}, {space:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn max_rho_rows_reproduce_both_delta_spaces() {
-        // The cache derives Δ under either scenario space from per-cardinality
-        // max-ρ rows; the rows must therefore match `delta` exactly.
-        let mu_vecs = mu();
-        let refs: Vec<&[Time]> = mu_vecs.iter().map(Vec::as_slice).collect();
-        let mut scratch = RhoScratch::new();
-        for solver in [RhoSolver::Hungarian, RhoSolver::PaperIlp] {
-            for cores in 0..=6usize {
-                let exact = delta(&mu_vecs, cores, ScenarioSpace::PaperExact, solver);
-                assert_eq!(
-                    max_rho(&refs, cores as u32, solver, &mut scratch),
-                    exact,
-                    "{solver:?} exact at m = {cores}"
-                );
-                let extended = delta(&mu_vecs, cores, ScenarioSpace::Extended, solver);
-                let from_rows = (1..=cores as u32)
-                    .map(|c| max_rho(&refs, c, solver, &mut scratch))
-                    .max()
-                    .unwrap_or(0);
-                assert_eq!(from_rows, extended, "{solver:?} extended at m = {cores}");
-            }
-        }
-    }
-
-    #[test]
-    fn suffix_dp_matches_per_suffix_hungarian() {
-        // The DP's per-k row must equal a dedicated Hungarian solve on each
-        // suffix, for every scenario of every cardinality.
-        let mu_vecs: Vec<Vec<Time>> = vec![
-            vec![3, 5, 6, 5],
-            vec![4, 7, 0, 0],
-            vec![6, 7, 9, 11],
-            vec![5, 9, 12, 0],
-            vec![2, 2, 0, 0],
-        ];
-        // mu_tail covers tasks 1.. of a 6-task set (task 0 has no µ uses).
-        let mu_tail: Vec<&[Time]> = mu_vecs.iter().map(Vec::as_slice).collect();
-        for cores in 1..=6u32 {
-            for scenario in partitions(cores) {
-                let dp = rho_suffix_dp(&scenario, &mu_tail);
-                assert_eq!(dp.len(), mu_tail.len() + 1);
-                for (k, &got) in dp.iter().enumerate() {
-                    let suffix: Vec<Vec<Time>> = mu_vecs[k..].to_vec();
-                    let want = rho(&suffix, &scenario, RhoSolver::Hungarian);
-                    assert_eq!(got, want, "k = {k}, scenario {scenario}");
-                }
             }
         }
     }

@@ -6,8 +6,8 @@
 //! of the analysis method. The same holds for every other quantity the
 //! fixed-point iteration touches repeatedly: longest paths, volumes,
 //! preemption-point counts, the "can run in parallel" adjacency, the LP-max
-//! WCET pools of Eq. (5) and the per-cardinality scenario maxima behind
-//! `Δ^m` / `Δ^{m−1}` (Eq. (8)).
+//! WCET pools of Eq. (5) and the scenario maxima behind `Δ^m` / `Δ^{m−1}`
+//! (Eq. (8)).
 //!
 //! [`TaskSetCache`] materializes all of them **once per task set**:
 //!
@@ -15,7 +15,7 @@
 //!   deadlines, the single-sink WCET used by the final-NPR refinement) are
 //!   captured eagerly at construction;
 //! * everything combinatorial — parallel adjacency, µ-arrays, LP-max prefix
-//!   sums, and the per-cardinality `max ρ` rows — sits behind
+//!   sums and the [`DeltaTable`] of LP-ILP blocking terms — sits behind
 //!   [`OnceCell`]s and is computed on first use, then shared by every
 //!   subsequent query. An unschedulable set that dies at the
 //!   highest-priority task therefore pays no more than the uncached
@@ -25,18 +25,32 @@
 //! µ-arrays are computed at the cache's `max_cores` and *sliced* for
 //! smaller platform slices (each entry is an independent fixed-cardinality
 //! clique search, so the array at `m` restricts to the array at any
-//! `c ≤ m`). The Δ work is shared the same way: one `max ρ` value per
-//! cardinality `c ∈ 1..=m` serves `Δ^m`, `Δ^{m−1}`, the
-//! [`ScenarioSpace::PaperExact`] and [`ScenarioSpace::Extended`] spaces, and
-//! every method reading them. The combinatorial solvers draw their working
-//! memory from **per-thread** scratch buffers (the thread-local
-//! `CLIQUE_SCRATCH` / `RHO_SCRATCH` statics) shared across every task set
-//! the thread analyzes, so a streaming sweep's inner loops allocate
-//! nothing once its workers are warm — not merely nothing per query, but
-//! nothing per *task set*. Scenario lists are not cached here at all:
-//! they depend only on the core count, so they come from the
-//! **process-global** [`PartitionTable`] — enumerated once per process,
-//! shared by every task set and worker thread of a whole sweep campaign.
+//! `c ≤ m`). The clique solver draws its working memory from a
+//! **per-thread** scratch buffer (the thread-local `CLIQUE_SCRATCH`)
+//! shared across every task set the thread analyzes, so a streaming
+//! sweep's inner loops allocate nothing once its workers are warm.
+//!
+//! # Δ as a group knapsack
+//!
+//! Eq. (8) maximizes `ρ_k[s]` over the execution scenarios `s ∈ e_c` — the
+//! integer partitions of `c` — and each `ρ_k[s]` (Eq. (7)) assigns the
+//! parts of `s` to distinct tasks of `lp(k)`. A scenario together with its
+//! assignment is exactly a choice of `c_i ≥ 0` cores per lower-priority
+//! task with `Σ c_i = c`, worth `Σ µ_i[c_i]` (with `µ_i[0] = 0` and `µ`
+//! past the end of its array 0). So `max_{s ∈ e_c} ρ_k[s]` is a group
+//! knapsack, and because `lp(k)` shrinks by one task per priority level
+//! the knapsacks of all tasks under analysis are suffixes of one another.
+//! [`DeltaTable::knapsack`] walks the tasks from lowest to highest
+//! priority, `f_i[c] = max_{j ≤ c} f_{i+1}[c − j] + µ_i[j]`, and after
+//! adding task `k + 1` holds `lp(k)`'s full `max ρ` column. One pass per
+//! solver pair yields `Δ^m` and `Δ^{m−1}` of every task under both
+//! [`ScenarioSpace`]s (`Extended` is the running maximum over `c' ≤ c`),
+//! in `O(n · m · w)` time, where `w ≤ m` is the last core count with a
+//! positive µ entry (the widest lower-priority DAG). The exponential
+//! scenario enumeration of [`crate::blocking::scenarios`] stays as the
+//! Table III printer and as the oracle of [`crate::analyze_uncached`]; the
+//! cache's [`RhoSolver::PaperIlp`] table (a configuration knob, never on
+//! the wire) is still filled through it.
 //!
 //! The cache is deliberately **single-threaded** (interior mutability via
 //! [`OnceCell`] / [`RefCell`]): sweep campaigns parallelize over task sets,
@@ -59,11 +73,11 @@
 //! assert!(outcome.verdicts().iter().all(|&ok| ok));
 //! ```
 
-use crate::blocking::scenarios::{max_rho_over, max_rho_over_refs, rho_suffix_dp, RhoScratch};
+use crate::blocking::scenarios;
 use crate::blocking::sound::SoundBlocking;
 use crate::blocking::{mu, BlockingBounds};
 use crate::config::{AnalysisConfig, Method, MuSolver, RhoSolver, ScenarioSpace};
-use rta_combinatorics::{BitSet, CliqueScratch, PartitionTable};
+use rta_combinatorics::{BitSet, CliqueScratch};
 use rta_model::{parallel_adjacency, TaskSet, Time};
 use std::cell::{OnceCell, RefCell};
 
@@ -78,9 +92,122 @@ thread_local! {
     /// never influence a result — equivalence with the uncached path stays
     /// pinned by `tests/cache_equivalence.rs`.
     static CLIQUE_SCRATCH: RefCell<CliqueScratch> = RefCell::new(CliqueScratch::new());
-    /// Per-thread `ρ` assignment scratch, shared across task sets like
-    /// [`CLIQUE_SCRATCH`].
-    static RHO_SCRATCH: RefCell<RhoScratch> = RefCell::new(RhoScratch::new());
+}
+
+/// `max_{s ∈ e_c} ρ_k[s]` for every task under analysis `k` and every
+/// platform slice `c ≤ max_cores`: the LP-ILP blocking terms of a whole
+/// task set, stored as one `rows × (max_cores + 1)` table. Row `k` reads 0
+/// throughout when `lp(k)` is empty, as does column 0.
+///
+/// # Example
+///
+/// Table III of the paper: τ0 of Figure 1 has `Δ⁴ = 19` and `Δ³ = 15`.
+///
+/// ```
+/// use rta_analysis::cache::DeltaTable;
+/// use rta_analysis::ScenarioSpace;
+/// use rta_model::examples::TABLE_I;
+///
+/// let lower: Vec<&[u64]> = TABLE_I.iter().map(|row| &row[..]).collect();
+/// let table = DeltaTable::knapsack(&lower, 4);
+/// assert_eq!(table.delta(0, 4, ScenarioSpace::PaperExact), 19);
+/// assert_eq!(table.delta(0, 3, ScenarioSpace::PaperExact), 15);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeltaTable {
+    /// `max_cores + 1`: the length of one row.
+    width: usize,
+    /// `cells[k * width + c]`: `max_{s ∈ e_c} ρ_k[s]`.
+    cells: Vec<Time>,
+}
+
+impl DeltaTable {
+    /// Solves the group knapsack of the [module docs](self) for every
+    /// suffix of `lower` at once. `lower[i]` is the µ-array (`µ[c]` at
+    /// index `c − 1`; entries past its end read 0) of the task at priority
+    /// `i + 1`, so row `k` of the result has `lower[k..]` as `lp(k)`. The
+    /// table has `lower.len() + 1` rows; the last one, with an empty
+    /// `lp`, is all 0.
+    pub fn knapsack(lower: &[&[Time]], max_cores: usize) -> Self {
+        let width = max_cores + 1;
+        let mu_at = |mu: &[Time], j: usize| match j {
+            0 => 0,
+            _ => mu.get(j - 1).copied().unwrap_or(0),
+        };
+        let mut cells = vec![0; (lower.len() + 1) * width];
+        for (k, mu) in lower.iter().enumerate().rev() {
+            let (upper, below) = cells.split_at_mut((k + 1) * width);
+            let row = &mut upper[k * width..];
+            if k + 1 == lower.len() {
+                // A single task takes all `c` cores: the one scenario `{c}`.
+                for (c, cell) in row.iter_mut().enumerate() {
+                    *cell = mu_at(mu, c);
+                }
+                continue;
+            }
+            // Task `k + 1` takes `j` cores, `lp(k + 1)` the other `c − j`.
+            // Past its last positive entry µ adds nothing, so every
+            // `j > len` reduces to the best of `below[..c − len]`: a
+            // running maximum keeps the pass at O(width · len).
+            let below = &below[..width];
+            let len = mu.iter().rposition(|&w| w > 0).map_or(0, |p| p + 1);
+            let mut best_idle = 0;
+            for (c, cell) in row.iter_mut().enumerate() {
+                let best = (0..=c.min(len))
+                    .map(|j| below[c - j] + mu_at(mu, j))
+                    .max()
+                    .unwrap_or(0);
+                if c > len {
+                    best_idle = best_idle.max(below[c - len - 1]);
+                }
+                *cell = best.max(best_idle);
+            }
+        }
+        Self { width, cells }
+    }
+
+    /// The table of the enumerating oracle: row `k`, column `c` is
+    /// [`scenarios::delta`] over the partitions of exactly `c` with
+    /// `lower[k..]` as `lp(k)`, solved by `solver`.
+    fn enumerated(lower: &[Vec<Time>], max_cores: usize, solver: RhoSolver) -> Self {
+        let width = max_cores + 1;
+        let cells = (0..=lower.len())
+            .flat_map(|k| {
+                (0..width).map(move |c| {
+                    scenarios::delta(&lower[k..], c, ScenarioSpace::PaperExact, solver)
+                })
+            })
+            .collect();
+        Self { width, cells }
+    }
+
+    /// `max_{s ∈ e_cores} ρ_k[s]`: the best scenario over the partitions
+    /// of exactly `cores`; 0 when no scenario is feasible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is past the last row or `cores > max_cores`.
+    pub fn max_rho(&self, k: usize, cores: usize) -> Time {
+        self.row(k)[cores]
+    }
+
+    /// `Δ^cores_k` (Eq. (8)) over the chosen scenario space: the cell
+    /// itself under [`ScenarioSpace::PaperExact`], the maximum over every
+    /// `c ≤ cores` under [`ScenarioSpace::Extended`].
+    ///
+    /// # Panics
+    ///
+    /// As [`max_rho`](Self::max_rho).
+    pub fn delta(&self, k: usize, cores: usize, space: ScenarioSpace) -> Time {
+        match space {
+            ScenarioSpace::PaperExact => self.max_rho(k, cores),
+            ScenarioSpace::Extended => self.row(k)[..=cores].iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    fn row(&self, k: usize) -> &[Time] {
+        &self.cells[k * self.width..(k + 1) * self.width]
+    }
 }
 
 /// Quantities of one task that every analysis reads, captured eagerly.
@@ -105,20 +232,11 @@ struct MuSlot {
     per_task: OnceCell<Vec<OnceCell<Vec<Time>>>>,
 }
 
-/// Lazily-computed per-cardinality scenario maxima for one solver pair;
-/// cell storage allocated on first touch like [`MuSlot`]'s.
-struct RhoSlot {
+/// The [`DeltaTable`] of one solver pair, built on the first Δ query.
+struct DeltaSlot {
     mu_solver: MuSolver,
     rho_solver: RhoSolver,
-    /// `per_task[k][c − 1]`: `max_{s_l ∈ e_c} ρ_k[s_l]` over the partitions
-    /// of exactly `c`, with `lp(k)` as the candidate tasks.
-    per_task: OnceCell<Vec<Vec<OnceCell<Time>>>>,
-    /// `dp_columns[c − 1][k]`: the suffix-DP's `max ρ` over the
-    /// **DP-eligible** scenarios of `e_c` for every task under analysis —
-    /// computed once per cardinality column and shared by every `k`, so
-    /// large platforms (m = 16) whose cardinality class mixes small and
-    /// huge scenarios still amortize the small ones across tasks.
-    dp_columns: OnceCell<Vec<OnceCell<Vec<Time>>>>,
+    table: OnceCell<DeltaTable>,
 }
 
 /// Everything about a [`TaskSet`] that the response-time analysis can
@@ -130,7 +248,7 @@ pub struct TaskSetCache<'ts> {
     facts: Vec<TaskFacts>,
     adjacency: Vec<OnceCell<Vec<BitSet>>>,
     mu: Vec<MuSlot>,
-    rho: Vec<RhoSlot>,
+    deltas: Vec<DeltaSlot>,
     /// `lp_max[k]`: prefix sums of the pooled, descending lower-priority
     /// NPR WCETs — `prefix[c]` is Eq. (5)'s `Δ^c` for `c` up to the pool
     /// size (clamped at `max_cores`).
@@ -185,14 +303,13 @@ impl<'ts> TaskSetCache<'ts> {
                 per_task: OnceCell::new(),
             })
             .collect();
-        let mut rho_slots = Vec::with_capacity(4);
+        let mut delta_slots = Vec::with_capacity(4);
         for mu_solver in [MuSolver::Clique, MuSolver::PaperIlp] {
             for rho_solver in [RhoSolver::Hungarian, RhoSolver::PaperIlp] {
-                rho_slots.push(RhoSlot {
+                delta_slots.push(DeltaSlot {
                     mu_solver,
                     rho_solver,
-                    per_task: OnceCell::new(),
-                    dp_columns: OnceCell::new(),
+                    table: OnceCell::new(),
                 });
             }
         }
@@ -203,7 +320,7 @@ impl<'ts> TaskSetCache<'ts> {
             facts,
             adjacency: (0..n).map(|_| OnceCell::new()).collect(),
             mu: mu_slots,
-            rho: rho_slots,
+            deltas: delta_slots,
             lp_max: (0..n).map(|_| OnceCell::new()).collect(),
             long_paths: (0..n).map(|_| OnceCell::new()).collect(),
         }
@@ -307,9 +424,38 @@ impl<'ts> TaskSetCache<'ts> {
         })
     }
 
+    /// The [`DeltaTable`] of every task under analysis for one solver
+    /// pair, built on first use and shared by every later Δ query: one
+    /// knapsack pass over the lower-priority µ-arrays for
+    /// [`RhoSolver::Hungarian`], the enumerating oracle for
+    /// [`RhoSolver::PaperIlp`].
+    fn delta_table(&self, mu_solver: MuSolver, rho_solver: RhoSolver) -> &DeltaTable {
+        let slot = self
+            .deltas
+            .iter()
+            .find(|s| s.mu_solver == mu_solver && s.rho_solver == rho_solver)
+            .expect("every solver pair has a slot");
+        slot.table.get_or_init(|| {
+            crate::metrics::CACHE_RHO_BUILDS.inc();
+            // The highest-priority task blocks no one: its µ is never read.
+            let lower = 1..self.task_set.len();
+            match rho_solver {
+                RhoSolver::Hungarian => {
+                    let lower: Vec<&[Time]> = lower.map(|i| self.mu(i, mu_solver)).collect();
+                    DeltaTable::knapsack(&lower, self.max_cores)
+                }
+                RhoSolver::PaperIlp => {
+                    let lower: Vec<Vec<Time>> =
+                        lower.map(|i| self.mu(i, mu_solver).to_vec()).collect();
+                    DeltaTable::enumerated(&lower, self.max_cores, rho_solver)
+                }
+            }
+        })
+    }
+
     /// `max_{s_l ∈ e_cores} ρ_k[s_l]`: the best scenario over the partitions
-    /// of exactly `cores`, with `lp(k)` as the candidate tasks. Memoized per
-    /// `(k, cores)` and solver pair; 0 when no scenario is feasible.
+    /// of exactly `cores`, with `lp(k)` as the candidate tasks; 0 when no
+    /// scenario is feasible. One cell of the solver pair's [`DeltaTable`].
     ///
     /// # Panics
     ///
@@ -321,113 +467,16 @@ impl<'ts> TaskSetCache<'ts> {
         mu_solver: MuSolver,
         rho_solver: RhoSolver,
     ) -> Time {
-        assert!(
-            cores <= self.max_cores,
-            "cores = {cores} exceeds the cache's max_cores = {}",
-            self.max_cores
-        );
-        if cores == 0 {
-            return 0;
-        }
-        let slot = self
-            .rho
-            .iter()
-            .find(|s| s.mu_solver == mu_solver && s.rho_solver == rho_solver)
-            .expect("every solver pair has a slot");
-        let n = self.task_set.len();
-        let per_task = slot.per_task.get_or_init(|| {
-            (0..n)
-                .map(|_| (0..self.max_cores).map(|_| OnceCell::new()).collect())
-                .collect()
-        });
-        *per_task[k][cores - 1].get_or_init(|| {
-            crate::metrics::CACHE_RHO_BUILDS.inc();
-            // Scenario lists come from the process-global partition table:
-            // enumerated once per process, not once per task set (let alone
-            // once per query) — see `rta_combinatorics::PartitionTable`.
-            let scenarios = PartitionTable::scenarios(cores as u32);
-
-            // Column mode: scenarios of small enough cardinality are solved
-            // by one suffix DP per scenario, yielding the `max ρ` of
-            // *every* task under analysis at once — `lp(k)` shrinks one
-            // task per priority, so the n per-task problems are suffixes of
-            // each other. Eligibility is **per scenario**: a cardinality
-            // class that mixes DP-sized and huge scenarios (every `e_m` at
-            // m = 16 does — partitions of cardinality > ~10 blow the
-            // `2^|s|` state space) still amortizes its DP-sized majority
-            // across all tasks via a memoized column, and only the large
-            // remainder falls back to a per-task Hungarian solve.
-            //
-            // The analysis walks k in priority order and most generated
-            // sets at high utilization fail at k = 0 without ever asking
-            // for k ≥ 1, so the first query of a column is answered
-            // individually; the DP kicks in at the second distinct k, when
-            // the remaining n − 1 rows are known to be worth amortizing.
-            let dp_eligible = |cardinality: usize| {
-                cardinality < 63 && (1u64 << cardinality) <= 4 * (cardinality * n) as u64
-            };
-            let column_untouched = || {
-                (0..n)
-                    .filter(|&i| i != k)
-                    .all(|i| per_task[i][cores - 1].get().is_none())
-            };
-            let eligible = scenarios
-                .iter()
-                .filter(|s| dp_eligible(s.cardinality()))
-                .count();
-            if rho_solver == RhoSolver::Hungarian && eligible > 0 && !column_untouched() {
-                let dp_columns = slot
-                    .dp_columns
-                    .get_or_init(|| (0..self.max_cores).map(|_| OnceCell::new()).collect());
-                let column = dp_columns[cores - 1].get_or_init(|| {
-                    let mu_tail: Vec<&[Time]> = (1..n).map(|i| self.mu(i, mu_solver)).collect();
-                    let mut best = vec![0; n];
-                    for scenario in scenarios.iter().filter(|s| dp_eligible(s.cardinality())) {
-                        for (b, v) in best.iter_mut().zip(rho_suffix_dp(scenario, &mu_tail)) {
-                            if let Some(v) = v {
-                                *b = (*b).max(v);
-                            }
-                        }
-                    }
-                    best
-                });
-                if eligible == scenarios.len() {
-                    // The DP covered the whole class: the column is final,
-                    // publish it to every sibling cell immediately.
-                    for (k_other, &value) in column.iter().enumerate() {
-                        if k_other != k {
-                            // Already-initialized siblings hold the same value.
-                            let _ = per_task[k_other][cores - 1].set(value);
-                        }
-                    }
-                    return column[k];
-                }
-                // Mixed class: combine the shared DP column with a per-task
-                // solve over the (few) scenarios too large for the DP.
-                let rest: Vec<&rta_combinatorics::Partition> = scenarios
-                    .iter()
-                    .filter(|s| !dp_eligible(s.cardinality()))
-                    .collect();
-                let mu_refs: Vec<&[Time]> = (k + 1..n).map(|i| self.mu(i, mu_solver)).collect();
-                return RHO_SCRATCH.with(|scratch| {
-                    column[k].max(max_rho_over_refs(
-                        &rest,
-                        &mu_refs,
-                        rho_solver,
-                        &mut scratch.borrow_mut(),
-                    ))
-                });
-            }
-
-            let mu_refs: Vec<&[Time]> = (k + 1..n).map(|i| self.mu(i, mu_solver)).collect();
-            RHO_SCRATCH.with(|scratch| {
-                max_rho_over(scenarios, &mu_refs, rho_solver, &mut scratch.borrow_mut())
-            })
-        })
+        self.check_cores(cores);
+        self.delta_table(mu_solver, rho_solver).max_rho(k, cores)
     }
 
-    /// `Δ^cores_k` (Eq. (8)) over the chosen scenario space, derived from
-    /// the memoized per-cardinality [`max_rho`](Self::max_rho) rows.
+    /// `Δ^cores_k` (Eq. (8)) over the chosen scenario space, read from the
+    /// solver pair's [`DeltaTable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores > max_cores`.
     pub fn delta(
         &self,
         k: usize,
@@ -436,17 +485,21 @@ impl<'ts> TaskSetCache<'ts> {
         mu_solver: MuSolver,
         rho_solver: RhoSolver,
     ) -> Time {
-        match space {
-            ScenarioSpace::PaperExact => self.max_rho(k, cores, mu_solver, rho_solver),
-            ScenarioSpace::Extended => (1..=cores)
-                .map(|c| self.max_rho(k, c, mu_solver, rho_solver))
-                .max()
-                .unwrap_or(0),
-        }
+        self.check_cores(cores);
+        self.delta_table(mu_solver, rho_solver)
+            .delta(k, cores, space)
+    }
+
+    fn check_cores(&self, cores: usize) {
+        assert!(
+            cores <= self.max_cores,
+            "cores = {cores} exceeds the cache's max_cores = {}",
+            self.max_cores
+        );
     }
 
     /// The precedence-aware blocking bounds of task `k` (Eqs. (6)–(8)),
-    /// from the cached µ and `max ρ` tables.
+    /// from the cached [`DeltaTable`].
     pub fn lp_ilp_blocking(
         &self,
         k: usize,

@@ -39,7 +39,7 @@
 //! floating point anywhere in the fixed-point iteration.
 //!
 //! Everything task-intrinsic — µ-arrays, parallel adjacency, LP-max WCET
-//! pools, per-cardinality Δ rows, longest paths and volumes — is computed
+//! pools, the Δ knapsack table, longest paths and volumes — is computed
 //! once per task set in a [`cache::TaskSetCache`] and shared across tasks
 //! under analysis, platform slices and methods. [`analyze`] builds the
 //! cache internally; [`analyze_uncached`] keeps the original

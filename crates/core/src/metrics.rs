@@ -57,6 +57,8 @@ pub(crate) static CACHE_BUILDS: LazyLock<Counter> =
 pub(crate) static CACHE_MU_BUILDS: LazyLock<Counter> =
     LazyLock::new(|| rta_obs::counter("cache_mu_builds_total"));
 
-/// `max ρ` cells materialized (first touch of a `(task, cores)` cell).
+/// [`crate::cache::DeltaTable`]s materialized: one per (task set, solver
+/// pair), on its first Δ query, however many tasks, core slices and
+/// scenario spaces read it.
 pub(crate) static CACHE_RHO_BUILDS: LazyLock<Counter> =
     LazyLock::new(|| rta_obs::counter("cache_rho_builds_total"));

@@ -36,7 +36,7 @@ use rta_model::{TaskId, TaskSet, Time};
 /// unschedulable task. See the crate docs for an end-to-end example.
 ///
 /// Builds a [`TaskSetCache`] internally, so the per-task µ-arrays and the
-/// per-cardinality Δ rows are computed once and shared across all tasks
+/// Δ knapsack table are computed once and shared across all tasks
 /// under analysis. To additionally share them across configurations (e.g.
 /// all three methods of a Figure 2 sweep point), use [`analyze_all`]; to
 /// share them across calls, build the cache yourself and use

@@ -1,8 +1,7 @@
 //! The verdict fast path's contract: [`analyze_verdicts`] must agree with
 //! the `schedulable` flags of full [`analyze_all`] reports on every input —
 //! the dominance shortcut (FP-ideal ≼ LP-ILP ≼ LP-max) is an optimization,
-//! never an approximation. Also pins the process-global partition table's
-//! once-per-`m` property from the analysis layer's point of view.
+//! never an approximation.
 
 // The legacy batch entry points under test are deprecated wrappers over
 // the unified request API; this suite is exactly what pins them
@@ -16,7 +15,6 @@ use rta_analysis::{
     analyze_all, analyze_verdicts, verdicts_with_bounds, AnalysisConfig, Method, MuSolver,
     ResponseBound, RhoSolver, ScenarioSpace,
 };
-use rta_combinatorics::PartitionTable;
 use rta_model::examples::figure1_task_set;
 use rta_taskgen::{generate_task_set, group1, group2};
 
@@ -179,33 +177,4 @@ fn verdicts_handle_mixed_families_and_solver_variants() {
         .map(|r| r.schedulable)
         .collect();
     assert_eq!(analyze_verdicts(&ts, &configs), expected);
-}
-
-#[test]
-fn partition_enumeration_happens_once_per_m_per_process() {
-    // Warm every cardinality any test in this binary can touch, so the
-    // counter below cannot be bumped by concurrent first-touches.
-    for m in 0..=31u32 {
-        let _ = PartitionTable::scenarios(m);
-    }
-    let before = PartitionTable::enumerations();
-    // Dozens of task sets, each with its own cache, analyzed at several
-    // platform sizes: under the old per-cache scenario cells this would
-    // have re-enumerated partitions per task set; the global table must
-    // perform zero further enumerations.
-    for seed in 0..24u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let ts = generate_task_set(&mut rng, &group1(3.0));
-        for cores in [2usize, 4, 6] {
-            let configs = sweep_configs(cores, ScenarioSpace::PaperExact);
-            let _ = analyze_verdicts(&ts, &configs);
-            let _ = analyze_all(&ts, &configs);
-        }
-    }
-    assert_eq!(
-        PartitionTable::enumerations(),
-        before,
-        "scenario lists must come from the process-global table, \
-         enumerated at most once per m per process"
-    );
 }

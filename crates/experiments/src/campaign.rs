@@ -719,8 +719,7 @@ pub fn chain_panel(sets_per_point: usize, jobs: Jobs) -> Panel {
 /// The core-count panels: the paper's utilization sweep on `m = 2` (where
 /// `p(m)` collapses to 2 scenarios and the paper's three analyses nearly
 /// coincide), `m = 8`, and `m = 16` (the platform the validation campaign
-/// already covered; its schedulability panel rides the same mixed
-/// suffix-DP cache path) — all re-generated from the campaign seed
+/// already covered) — all re-generated from the campaign seed
 /// population.
 pub fn core_count_panels(sets_per_point: usize, jobs: Jobs) -> Vec<Panel> {
     [

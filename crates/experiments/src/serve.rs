@@ -21,7 +21,9 @@
 //! * `v` — optional envelope version; must be `1` when present.
 //! * `id` — optional integer, echoed verbatim in the response so clients
 //!   can pipeline frames.
-//! * `cores` — required platform size (`1..=MAX_CORES`).
+//! * `cores` — required platform size (`1..=`[`MAX_CORES`], 896: the
+//!   largest platform whose worst measured bounds frame stays under
+//!   100 ms — see the table on the constant).
 //! * `methods` — optional array of method labels (`"FP-ideal"`,
 //!   `"LP-ILP"`, `"LP-max"`, `"LP-sound"`, `"Long-paths"`,
 //!   `"Gen-sporadic"`); omitted means all six.
@@ -72,7 +74,7 @@
 //!  "release":"jitter","seed":7,"task_set":{"version":1,"tasks":[...]}}}
 //! ```
 //!
-//! * `cores` — required, `1..=MAX_CORES`.
+//! * `cores` — required, `1..=`[`MAX_CORES`] (896), as for analyze frames.
 //! * `horizon` — required; **capped server-side** at [`MAX_SIM_HORIZON`]
 //!   (a horizon is simulated work, not a free parameter — an unbounded
 //!   one would be a denial-of-service lever).
@@ -160,9 +162,24 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Hard cap on `cores`: a request is a platform description, not a memory
-/// allocation license (per-core tables grow with `m`).
-pub const MAX_CORES: usize = 1024;
+/// Hard cap on `cores`: a request is a platform description, not a CPU
+/// or memory allocation license (analysis cost grows with `m`).
+///
+/// Set from measured cost: the largest platform at which a bounds frame
+/// over all six methods stays under 100 ms in the worst of the generated
+/// `group1(m/2)` sets, seeds 0–19 then 0–29 (in-process
+/// `AnalysisRequest::evaluate`, release build, 2-vCPU Xeon at 2.0 GHz;
+/// the range spans the two runs):
+///
+/// | m    | tasks (mean) | mean frame | worst frame |
+/// |------|--------------|------------|-------------|
+/// | 80   | 60           | 1.4–1.6 ms | 2.0–2.2 ms  |
+/// | 256  | 192          | 6.9–9.3 ms | 9.2–10 ms   |
+/// | 512  | 384          | 17–23 ms   | 21–38 ms    |
+/// | 768  | 576          | 43–52 ms   | 66–80 ms    |
+/// | 896  | 672          | 46–72 ms   | 69–88 ms    |
+/// | 1024 | 768          | 73–95 ms   | 106–112 ms  |
+pub const MAX_CORES: usize = 896;
 
 /// Default bound on one request frame, newline included.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;

@@ -113,8 +113,7 @@
 //! feeding an O(1) per-point fold), so arbitrarily long validation
 //! horizons and set counts never accumulate rows in memory.
 //!
-//! Panels: the utilization sweep on `m ∈ {2, 4, 8, 16}` (the m = 16
-//! column exercises the mixed suffix-DP path of the analysis cache), the
+//! Panels: the utilization sweep on `m ∈ {2, 4, 8, 16}`, the
 //! constrained-deadline and chain-mixture populations of the campaign
 //! panels, and the two release-model sweeps.
 

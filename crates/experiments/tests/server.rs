@@ -5,7 +5,7 @@
 //! kernel-assigned port.
 
 use rta_experiments::loadgen::{self, LoadgenOptions};
-use rta_experiments::serve::{spawn, ServeOptions, ServerHandle};
+use rta_experiments::serve::{spawn, ServeOptions, ServerHandle, MAX_CORES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -118,6 +118,32 @@ fn hostile_inputs_get_structured_errors_and_the_connection_survives() {
     let response = client.send(&analyze_frame(FIGURE1_SET));
     assert!(response.contains("\"ok\":true"), "{response}");
     assert!(response.contains("\"id\":42"), "{response}");
+    handle.shutdown();
+}
+
+#[test]
+fn cores_past_max_cores_get_a_structured_error() {
+    let handle = test_server(1 << 20);
+    let mut client = Client::connect(&handle);
+    let set = FIGURE1_SET.replace('\n', " ");
+    let analyze = |cores: usize| {
+        format!("{{\"cores\":{cores},\"bounds\":true,\"methods\":[\"LP-ILP\"],\"task_set\":{set}}}")
+    };
+    let simulate = |cores: usize| {
+        format!("{{\"simulate\":{{\"cores\":{cores},\"horizon\":100,\"task_set\":{set}}}}}")
+    };
+    for frame in [analyze(MAX_CORES + 1), simulate(MAX_CORES + 1)] {
+        let response = client.send(&frame);
+        assert!(response.contains("\"ok\":false"), "{response}");
+        assert!(response.contains("\"kind\":\"protocol\""), "{response}");
+        assert!(
+            response.contains(&format!("must be in 1..={MAX_CORES}")),
+            "{response}"
+        );
+    }
+    // The limit itself is served, on the same connection.
+    let response = client.send(&analyze(MAX_CORES));
+    assert!(response.contains("\"ok\":true"), "{response}");
     handle.shutdown();
 }
 
