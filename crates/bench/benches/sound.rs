@@ -1,8 +1,7 @@
 //! The PR-5 perf bench: cost of the fourth (LP-sound) method and of the
-//! full validation cell, plus the tracked point for the per-thread
-//! combinatorial scratch (`CliqueScratch` lives in a thread-local and is
-//! reused across every task set a worker analyzes, instead of being
-//! reallocated per `TaskSetCache`).
+//! full validation cell, plus the tracked LP-ILP point, whose combinatorial
+//! cost is the µ-arrays (the word-parallel antichain kernel, capped at each
+//! DAG's Dilworth width) and the Δ knapsack.
 //!
 //! Measured, each as the median of [`SAMPLES`] runs over a Figure 2(a)
 //! grid population:
@@ -13,9 +12,10 @@
 //!   overhead should be small), and on top of that the marginal cost of
 //!   the two published fully-preemptive competitor bounds (Long-paths,
 //!   Gen-sporadic) the comparison panel evaluates per cell;
-//! * **LP-ILP analysis, warm per-thread scratch** — the blocking-heavy
-//!   workload whose inner allocations the thread-local scratch removes;
-//!   the absolute median is the point future PRs track;
+//! * **LP-ILP analysis** — the blocking-heavy workload; the absolute
+//!   median is the point future PRs track. Its JSON field keeps the
+//!   historical name `lp_ilp_warm_scratch_ns` (the µ search once drew on a
+//!   per-thread scratch; it now needs none);
 //! * **validation cell** — `validate_set` under the eager policy only vs
 //!   all three policies (eager + lazy + fully preemptive), the cost of
 //!   exercising both preemption semantics per generated set.
@@ -158,10 +158,9 @@ fn main() {
         scale(verdicts_all6_ns)
     );
 
-    // The blocking-heavy workload the per-thread scratch serves: every
-    // set's LP-ILP analysis on this (warm) thread. The absolute median is
-    // the tracked point; before PR 5 each of these sets paid fresh
-    // scratch allocations inside its own cache.
+    // The blocking-heavy workload: every set's LP-ILP analysis. The
+    // absolute median is the tracked point (the variable and JSON field
+    // keep their historical name).
     let ilp = AnalysisConfig::new(CORES, Method::LpIlp);
     let lp_ilp_warm_scratch_ns = measure(|| {
         sets.iter()
@@ -169,7 +168,7 @@ fn main() {
     });
     println!(
         "{:<52} {:>12}",
-        "LP-ILP analysis, warm per-thread scratch",
+        "LP-ILP analysis",
         scale(lp_ilp_warm_scratch_ns)
     );
 

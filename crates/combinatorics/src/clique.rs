@@ -9,9 +9,13 @@
 //! DAG's reachability partial order.
 //!
 //! The paper solves this with an ILP; this module provides an exact
-//! branch-and-bound search that exploits the small node counts of DAG tasks
-//! (the paper caps DAGs at 30 nodes). The ILP path in the `rta-ilp` crate solves the
-//! paper's formulation verbatim and is cross-checked against this solver.
+//! branch-and-bound search over an arbitrary graph that also returns the
+//! clique's members, plus an exhaustive reference solver. The analysis
+//! computes µ-arrays with the word-parallel antichain kernel of
+//! [`crate::antichain`], which runs the same branch order and pruning on
+//! bit rows; both solvers here are its test oracles, and the ILP path in
+//! the `rta-ilp` crate (the paper's formulation verbatim) is cross-checked
+//! against them.
 
 use crate::bitset::BitSet;
 
@@ -165,137 +169,6 @@ fn search(
     }
 }
 
-/// Reusable working memory for the weight-only clique search
-/// ([`max_weight_clique_weight`]).
-///
-/// The branch-and-bound in [`max_weight_clique_of_size`] allocates a fresh
-/// candidate vector at every branch point; over a sweep campaign the µ-array
-/// searches dominate the allocator. This scratch keeps one candidate buffer
-/// per search depth (depth is bounded by the requested clique size, i.e. the
-/// core count), so repeated searches allocate nothing once warm.
-#[derive(Clone, Debug, Default)]
-pub struct CliqueScratch {
-    /// Vertices sorted by descending weight (branch order).
-    order: Vec<usize>,
-    /// `levels[d]` holds the candidate positions (into `order`) at depth `d`.
-    levels: Vec<Vec<usize>>,
-}
-
-impl CliqueScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The weight of a maximum-weight clique with **exactly** `size` vertices,
-/// reusing `scratch` across calls.
-///
-/// Semantically identical to
-/// `max_weight_clique_of_size(..).map(|s| s.weight)` — same branch order,
-/// same pruning — but skips materializing the members and performs no
-/// allocation once the scratch buffers are warm. This is the solver behind
-/// the analysis cache's µ-arrays.
-///
-/// # Panics
-///
-/// Panics if `adjacency` and `weights` have different lengths.
-pub fn max_weight_clique_weight(
-    adjacency: &[BitSet],
-    weights: &[u64],
-    size: usize,
-    scratch: &mut CliqueScratch,
-) -> Option<u64> {
-    assert_eq!(
-        adjacency.len(),
-        weights.len(),
-        "adjacency and weights must cover the same vertices"
-    );
-    let n = adjacency.len();
-    if size == 0 {
-        return Some(0);
-    }
-    if size > n {
-        return None;
-    }
-
-    let CliqueScratch { order, levels } = scratch;
-    order.clear();
-    order.extend(0..n);
-    order.sort_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
-    if levels.len() < size {
-        levels.resize_with(size, Vec::new);
-    }
-    levels[0].clear();
-    levels[0].extend(0..n);
-
-    let mut best = None;
-    search_weight(
-        adjacency,
-        weights,
-        order,
-        size,
-        0,
-        &mut levels[..size],
-        &mut best,
-    );
-    best
-}
-
-/// Depth-first branch-and-bound identical to [`search`], but tracking only
-/// the best weight and drawing candidate storage from `levels` (one buffer
-/// per remaining slot; `levels[0]` holds the current candidates).
-fn search_weight(
-    adjacency: &[BitSet],
-    weights: &[u64],
-    order: &[usize],
-    need: usize,
-    chosen_weight: u64,
-    levels: &mut [Vec<usize>],
-    best: &mut Option<u64>,
-) {
-    let (candidates, deeper) = levels.split_first_mut().expect("one level per slot");
-    if candidates.len() < need {
-        return;
-    }
-    // Upper bound: current weight plus the `need` heaviest candidates
-    // (candidates stay sorted by descending weight — they are positions
-    // filtered from `order`).
-    let optimistic: u64 = chosen_weight
-        + candidates
-            .iter()
-            .take(need)
-            .map(|&pos| weights[order[pos]])
-            .sum::<u64>();
-    if let Some(bw) = *best {
-        if optimistic <= bw {
-            return;
-        }
-    }
-
-    for idx in 0..candidates.len() {
-        // Even taking this and every later candidate cannot reach `need`.
-        if candidates.len() - idx < need {
-            break;
-        }
-        let v = order[candidates[idx]];
-        let weight = chosen_weight + weights[v];
-        if need == 1 {
-            if best.is_none_or(|bw| weight > bw) {
-                *best = Some(weight);
-            }
-            continue;
-        }
-        deeper[0].clear();
-        for &p in &candidates[idx + 1..] {
-            if adjacency[v].contains(order[p]) {
-                deeper[0].push(p);
-            }
-        }
-        search_weight(adjacency, weights, order, need - 1, weight, deeper, best);
-    }
-}
-
 /// Exhaustive reference solver (all `C(n, size)` subsets); exact and
 /// exponential, used to validate the branch-and-bound in tests.
 pub fn max_weight_clique_bruteforce(
@@ -429,35 +302,6 @@ mod tests {
             let fast = max_weight_clique_of_size(&adj, &w, size).map(|s| s.weight);
             let slow = max_weight_clique_bruteforce(&adj, &w, size);
             assert_eq!(fast, slow, "size {size}");
-        }
-    }
-
-    #[test]
-    fn weight_only_search_agrees_with_full_search() {
-        // One scratch shared across graphs and sizes (the cache usage
-        // pattern); results must match the members-returning solver.
-        let mut scratch = CliqueScratch::new();
-        let dense = {
-            let n = 8;
-            let mut edges = Vec::new();
-            for a in 0..n {
-                for b in a + 1..n {
-                    if b != a + n / 2 {
-                        edges.push((a, b));
-                    }
-                }
-            }
-            graph(n, &edges)
-        };
-        let dense_w: Vec<u64> = (0..8u64).map(|i| i * i + 1).collect();
-        let sparse = graph(5, &[(1, 2), (2, 3), (2, 4), (3, 4)]);
-        let sparse_w = vec![5u64, 2, 4, 5, 3];
-        for (adj, w) in [(&dense, &dense_w), (&sparse, &sparse_w)] {
-            for size in 0..=adj.len() + 1 {
-                let fast = max_weight_clique_weight(adj, w, size, &mut scratch);
-                let full = max_weight_clique_of_size(adj, w, size).map(|s| s.weight);
-                assert_eq!(fast, full, "size {size}");
-            }
         }
     }
 

@@ -13,9 +13,14 @@
 //! * [`assignment`] — maximum-weight assignment (Hungarian algorithm), the
 //!   combinatorial equivalent of the paper's ILP formulation for the overall
 //!   worst-case workload `ρ_k[s_l]` (Section V-B) of one scenario;
-//! * [`clique`] — maximum-weight clique of prescribed cardinality, the
-//!   combinatorial equivalent of the paper's ILP formulation for the
-//!   per-task worst-case workload `µ_i[c]` (Section V-A2).
+//! * [`antichain`] — the per-task worst-case workloads `µ_i[c]` (Section
+//!   V-A2) of every cardinality at once: maximum-weight antichains of the
+//!   DAG's precedence order, searched word-parallel over bit rows and
+//!   capped at the order's Dilworth width (`n` minus a maximum bipartite
+//!   matching), the combinatorial equivalent of the paper's ILP;
+//! * [`clique`] — maximum-weight clique of prescribed cardinality over an
+//!   arbitrary graph, with members, and an exhaustive reference solver:
+//!   the test oracles of the antichain kernel.
 //!
 //! The analysis hot path enumerates no scenarios: `rta-analysis` reads the
 //! maximum over `e_m` from a group-knapsack table over lower-priority tasks
@@ -41,14 +46,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod antichain;
 pub mod assignment;
 pub mod bitset;
 pub mod clique;
 pub mod partitions;
 
+pub use antichain::WeightedPoset;
 pub use assignment::{max_weight_assignment, Assignment};
 pub use bitset::BitSet;
-pub use clique::{
-    max_weight_clique_of_size, max_weight_clique_weight, CliqueScratch, CliqueSolution,
-};
+pub use clique::{max_weight_clique_of_size, CliqueSolution};
 pub use partitions::{partition_count, partitions, Partition, Partitions};

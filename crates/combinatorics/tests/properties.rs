@@ -3,8 +3,83 @@
 use proptest::prelude::*;
 use rta_combinatorics::assignment::{max_weight_assignment, max_weight_assignment_bruteforce};
 use rta_combinatorics::clique::{max_weight_clique_bruteforce, max_weight_clique_of_size};
-use rta_combinatorics::{partition_count, partitions, BitSet};
+use rta_combinatorics::{partition_count, partitions, BitSet, WeightedPoset};
 use std::collections::BTreeSet;
+
+/// splitmix64: the case's structure is drawn from one `u64` seed.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Edges `a → b` (always `a < b`, so index order is topological) of a
+/// random DAG in one of four shapes:
+///
+/// * 0 — dense random DAG on `n ≤ 12` nodes (brute-force sized);
+/// * 1 — a pure chain;
+/// * 2 — a wide fork: source → `n − 2` leaves → sink;
+/// * 3 — fork-join blocks in series, each a random DAG of 1..=7 nodes,
+///   joined by one node per seam — multi-word `n` with few antichains.
+fn random_edges(shape: u8, n: usize, state: &mut u64) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    match shape {
+        0 => {
+            for a in 0..n {
+                for b in a + 1..n {
+                    if next(state) % 3 == 0 {
+                        edges.push((a, b));
+                    }
+                }
+            }
+        }
+        1 => edges.extend((1..n).map(|b| (b - 1, b))),
+        2 => {
+            for leaf in 1..n - 1 {
+                edges.push((0, leaf));
+                edges.push((leaf, n - 1));
+            }
+        }
+        _ => {
+            // `join` precedes the whole next block, which precedes the
+            // next join.
+            let mut join = 0;
+            while join + 1 < n {
+                let size = (1 + next(state) % 7) as usize;
+                let block = join + 1..(join + 1 + size).min(n - 1).max(join + 2);
+                let next_join = block.end.min(n - 1);
+                for a in block.clone() {
+                    edges.push((join, a));
+                    if a != next_join {
+                        edges.push((a, next_join));
+                    }
+                    for b in a + 1..block.end.min(next_join) {
+                        if next(state) % 3 == 0 {
+                            edges.push((a, b));
+                        }
+                    }
+                }
+                join = next_join;
+            }
+        }
+    }
+    edges
+}
+
+/// Descendant closure of edges that all go from lower to higher index.
+fn closure(n: usize, edges: &[(usize, usize)]) -> Vec<BitSet> {
+    let mut desc = vec![BitSet::with_capacity(n); n];
+    for v in (0..n).rev() {
+        for &(_, b) in edges.iter().filter(|&&(a, _)| a == v) {
+            let below = desc[b].clone();
+            desc[v].insert(b);
+            desc[v].union_with(&below);
+        }
+    }
+    desc
+}
 
 proptest! {
     #[test]
@@ -129,6 +204,62 @@ proptest! {
             }
             let w: u64 = sol.members.iter().map(|&v| weights[v]).sum();
             prop_assert_eq!(w, sol.weight);
+        }
+    }
+
+    /// The word kernel's µ-array and width against the per-size clique
+    /// search on the parallelism graph (and brute force for `n ≤ 12`).
+    #[test]
+    fn antichain_kernel_matches_per_size_clique_search(
+        shape in 0u8..4,
+        size_seed in any::<u64>(),
+        seed in any::<u64>(),
+        extra_cores in 0usize..4,
+    ) {
+        let n = match shape {
+            0 => 1 + (size_seed % 12) as usize,
+            1 => 1 + (size_seed % 130) as usize,
+            2 => 3 + (size_seed % 78) as usize,
+            _ => 65 + (size_seed % 66) as usize,
+        };
+        let mut state = seed;
+        let edges = random_edges(shape, n, &mut state);
+        let descendants = closure(n, &edges);
+        // A quarter of the WCETs are zero.
+        let weights: Vec<u64> = (0..n)
+            .map(|_| match next(&mut state) % 8 {
+                0 | 1 => 0,
+                w => w * (next(&mut state) % 5 + 1),
+            })
+            .collect();
+        let adjacency: Vec<BitSet> = (0..n)
+            .map(|v| {
+                (0..n)
+                    .filter(|&u| u != v && !descendants[v].contains(u) && !descendants[u].contains(v))
+                    .collect()
+            })
+            .collect();
+        let clique = |size: usize| max_weight_clique_of_size(&adjacency, &weights, size).map(|s| s.weight);
+        let width = (1..=n).take_while(|&c| clique(c).is_some()).count();
+        let poset = WeightedPoset::new(&weights, &descendants);
+        prop_assert_eq!(poset.width(), width);
+        match shape {
+            1 => prop_assert_eq!(width, 1),
+            2 => prop_assert_eq!(width, n - 2),
+            _ => {}
+        }
+        let cores = width + extra_cores;
+        let mu = poset.max_weight_antichains(cores);
+        prop_assert_eq!(mu.len(), cores);
+        for c in 1..=cores {
+            prop_assert_eq!(mu[c - 1], clique(c).unwrap_or(0), "µ[{}] of {} nodes", c, n);
+            if n <= 12 {
+                prop_assert_eq!(
+                    mu[c - 1],
+                    max_weight_clique_bruteforce(&adjacency, &weights, c).unwrap_or(0),
+                    "µ[{}] against brute force", c
+                );
+            }
         }
     }
 }

@@ -15,10 +15,17 @@
 //! every scenario, every task under analysis and every analysis method.
 //! (Each entry `µ_i[c]` is an independent fixed-cardinality search, so the
 //! array computed at `m` cores restricts to the array for any `c ≤ m`.)
+//!
+//! [`MuSolver::Clique`] runs the word-parallel kernel
+//! [`rta_combinatorics::WeightedPoset`] on the DAG's descendant closure:
+//! nodes relabeled by descending WCET so candidate sets are `u64` rows, one
+//! branch-and-bound per cardinality up to the DAG's Dilworth width
+//! (computed exactly by bipartite matching), and 0 above it without a
+//! search. [`MuSolver::PaperIlp`] solves the paper's ILP per entry.
 
 use crate::config::MuSolver;
-use rta_combinatorics::{max_weight_clique_weight, BitSet, CliqueScratch};
-use rta_model::{parallel_adjacency, Dag, Time};
+use rta_combinatorics::WeightedPoset;
+use rta_model::{Dag, Time};
 use std::cell::Cell;
 
 thread_local! {
@@ -31,8 +38,7 @@ thread_local! {
 /// Test instrumentation for the caching contract: the analysis cache must
 /// compute each task's µ-array at most once per task set, which tests assert
 /// by snapshotting this counter around [`crate::rta::analyze_all`]. Every
-/// call to [`mu_array`] / [`mu_array_with`] increments it by one, whatever
-/// the solver.
+/// call to [`mu_array`] increments it by one, whatever the solver.
 pub fn mu_array_computations() -> u64 {
     MU_ARRAY_COMPUTATIONS.with(Cell::get)
 }
@@ -43,9 +49,8 @@ fn record_computation() {
 
 /// Computes the array `µ_i[1..=cores]` for one task.
 ///
-/// Index `c − 1` holds `µ_i[c]`. Once no antichain of size `c` exists, all
-/// larger entries are 0 (antichains are downward closed in size, so the
-/// search stops at the first infeasible cardinality).
+/// Index `c − 1` holds `µ_i[c]`. Every entry past the DAG's width (its
+/// largest antichain) is 0, and the clique solver never searches there.
 ///
 /// # Example
 ///
@@ -60,52 +65,14 @@ fn record_computation() {
 /// assert_eq!(mu, vec![6, 7, 9, 11]);
 /// ```
 pub fn mu_array(dag: &Dag, cores: usize, solver: MuSolver) -> Vec<Time> {
-    match solver {
-        MuSolver::Clique => {
-            let adjacency = parallel_adjacency(dag);
-            mu_array_with(dag, &adjacency, cores, solver, &mut CliqueScratch::new())
-        }
-        MuSolver::PaperIlp => {
-            record_computation();
-            super::paper_ilp::mu_array_ilp(dag, cores)
-        }
-    }
-}
-
-/// As [`mu_array`], but from a pre-computed parallel adjacency and with
-/// reusable clique-search scratch — the entry point
-/// [`crate::cache::TaskSetCache`] uses so that neither the adjacency nor the
-/// search buffers are rebuilt per task under analysis. (The
-/// [`MuSolver::PaperIlp`] arm ignores both and solves from the DAG alone.)
-pub fn mu_array_with(
-    dag: &Dag,
-    adjacency: &[BitSet],
-    cores: usize,
-    solver: MuSolver,
-    scratch: &mut CliqueScratch,
-) -> Vec<Time> {
     record_computation();
     match solver {
-        MuSolver::Clique => mu_array_clique(adjacency, dag.wcets(), cores, scratch),
+        MuSolver::Clique => {
+            WeightedPoset::new(dag.wcets(), dag.nodes().map(|v| dag.descendants(v)))
+                .max_weight_antichains(cores)
+        }
         MuSolver::PaperIlp => super::paper_ilp::mu_array_ilp(dag, cores),
     }
-}
-
-fn mu_array_clique(
-    adjacency: &[BitSet],
-    weights: &[Time],
-    cores: usize,
-    scratch: &mut CliqueScratch,
-) -> Vec<Time> {
-    let mut mu = Vec::with_capacity(cores);
-    for c in 1..=cores {
-        match max_weight_clique_weight(adjacency, weights, c, scratch) {
-            Some(weight) => mu.push(weight),
-            None => break,
-        }
-    }
-    mu.resize(cores, 0);
-    mu
 }
 
 #[cfg(test)]
@@ -184,14 +151,7 @@ mod tests {
         let dag = figure1_dags().remove(0);
         let before = mu_array_computations();
         let _ = mu_array(&dag, 4, MuSolver::Clique);
-        let adjacency = parallel_adjacency(&dag);
-        let _ = mu_array_with(
-            &dag,
-            &adjacency,
-            4,
-            MuSolver::Clique,
-            &mut CliqueScratch::new(),
-        );
+        let _ = mu_array(&dag, 4, MuSolver::PaperIlp);
         assert_eq!(mu_array_computations(), before + 2);
     }
 

@@ -14,7 +14,7 @@
 
 use rta_combinatorics::Partition;
 use rta_ilp::{IlpBuilder, Sense};
-use rta_model::{parallel_adjacency, Dag, Time};
+use rta_model::{parallel_sets_exact, Dag, Time};
 
 /// `µ_i[c]` for `c = 1..=cores` via the Section V-A2 ILP.
 pub fn mu_array_ilp(dag: &Dag, cores: usize) -> Vec<Time> {
@@ -32,7 +32,7 @@ pub fn mu_ilp(dag: &Dag, c: usize) -> Option<Time> {
     if c == 0 || c > n {
         return None;
     }
-    let is_par = parallel_adjacency(dag);
+    let is_par = parallel_sets_exact(dag);
 
     let mut m = IlpBuilder::new();
     let b: Vec<_> = (0..n).map(|j| m.binary(format!("b{j}"))).collect();

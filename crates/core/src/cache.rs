@@ -5,17 +5,16 @@
 //! independent of which task is under analysis, of the platform slice and
 //! of the analysis method. The same holds for every other quantity the
 //! fixed-point iteration touches repeatedly: longest paths, volumes,
-//! preemption-point counts, the "can run in parallel" adjacency, the LP-max
-//! WCET pools of Eq. (5) and the scenario maxima behind `Δ^m` / `Δ^{m−1}`
-//! (Eq. (8)).
+//! preemption-point counts, the LP-max WCET pools of Eq. (5) and the
+//! scenario maxima behind `Δ^m` / `Δ^{m−1}` (Eq. (8)).
 //!
 //! [`TaskSetCache`] materializes all of them **once per task set**:
 //!
 //! * cheap per-task facts (longest path, volume, preemption points, periods,
 //!   deadlines, the single-sink WCET used by the final-NPR refinement) are
 //!   captured eagerly at construction;
-//! * everything combinatorial — parallel adjacency, µ-arrays, LP-max prefix
-//!   sums and the [`DeltaTable`] of LP-ILP blocking terms — sits behind
+//! * everything combinatorial — µ-arrays, LP-max prefix sums, long-path
+//!   decompositions and the [`DeltaTable`] of LP-ILP blocking terms — sits behind
 //!   [`OnceCell`]s and is computed on first use, then shared by every
 //!   subsequent query. An unschedulable set that dies at the
 //!   highest-priority task therefore pays no more than the uncached
@@ -24,11 +23,15 @@
 //!
 //! µ-arrays are computed at the cache's `max_cores` and *sliced* for
 //! smaller platform slices (each entry is an independent fixed-cardinality
-//! clique search, so the array at `m` restricts to the array at any
-//! `c ≤ m`). The clique solver draws its working memory from a
-//! **per-thread** scratch buffer (the thread-local `CLIQUE_SCRATCH`)
-//! shared across every task set the thread analyzes, so a streaming
-//! sweep's inner loops allocate nothing once its workers are warm.
+//! search, so the array at `m` restricts to the array at any `c ≤ m`).
+//! The solver is the word-parallel kernel
+//! [`rta_combinatorics::WeightedPoset`], fed straight from the DAG's
+//! descendant closure: it relabels the nodes by descending WCET, searches
+//! each cardinality over `u64` candidate rows, and stops at the DAG's
+//! Dilworth width (`n` minus a maximum bipartite matching on the order),
+//! so a 16-core array of a task at most 6 wide runs six searches and
+//! writes ten zeros. Its few working rows are allocated per µ-array; no
+//! adjacency or scratch outlives the call.
 //!
 //! # Δ as a group knapsack
 //!
@@ -53,7 +56,7 @@
 //! the wire) is still filled through it.
 //!
 //! The cache is deliberately **single-threaded** (interior mutability via
-//! [`OnceCell`] / [`RefCell`]): sweep campaigns parallelize over task sets,
+//! [`OnceCell`]): sweep campaigns parallelize over task sets,
 //! with each worker building its own cache, so nothing here needs
 //! synchronization.
 //!
@@ -77,22 +80,8 @@ use crate::blocking::scenarios;
 use crate::blocking::sound::SoundBlocking;
 use crate::blocking::{mu, BlockingBounds};
 use crate::config::{AnalysisConfig, Method, MuSolver, RhoSolver, ScenarioSpace};
-use rta_combinatorics::{BitSet, CliqueScratch};
-use rta_model::{parallel_adjacency, TaskSet, Time};
-use std::cell::{OnceCell, RefCell};
-
-thread_local! {
-    /// The calling thread's reusable clique-search working memory. Scratch
-    /// buffers used to live inside each [`TaskSetCache`], which made their
-    /// allocations once-per-task-set; a streaming sweep builds thousands of
-    /// caches per worker, so the scratch now lives **per thread** and is
-    /// reused across every task set the worker claims (sweep workers are
-    /// threads, and the serial driver keeps one scratch for the whole
-    /// campaign). The buffers are cleared by each solver invocation and
-    /// never influence a result — equivalence with the uncached path stays
-    /// pinned by `tests/cache_equivalence.rs`.
-    static CLIQUE_SCRATCH: RefCell<CliqueScratch> = RefCell::new(CliqueScratch::new());
-}
+use rta_model::{TaskSet, Time};
+use std::cell::OnceCell;
 
 /// `max_{s ∈ e_c} ρ_k[s]` for every task under analysis `k` and every
 /// platform slice `c ≤ max_cores`: the LP-ILP blocking terms of a whole
@@ -246,7 +235,6 @@ pub struct TaskSetCache<'ts> {
     task_set: &'ts TaskSet,
     max_cores: usize,
     facts: Vec<TaskFacts>,
-    adjacency: Vec<OnceCell<Vec<BitSet>>>,
     mu: Vec<MuSlot>,
     deltas: Vec<DeltaSlot>,
     /// `lp_max[k]`: prefix sums of the pooled, descending lower-priority
@@ -318,7 +306,6 @@ impl<'ts> TaskSetCache<'ts> {
             task_set,
             max_cores,
             facts,
-            adjacency: (0..n).map(|_| OnceCell::new()).collect(),
             mu: mu_slots,
             deltas: delta_slots,
             lp_max: (0..n).map(|_| OnceCell::new()).collect(),
@@ -382,12 +369,6 @@ impl<'ts> TaskSetCache<'ts> {
         self.long_paths[k].get_or_init(|| self.task_set.task(k).dag().long_path_decomposition())
     }
 
-    /// The symmetric "can execute in parallel" adjacency of task `k`'s DAG,
-    /// computed on first use.
-    pub fn parallel_adjacency(&self, k: usize) -> &[BitSet] {
-        self.adjacency[k].get_or_init(|| parallel_adjacency(self.task_set.task(k).dag()))
-    }
-
     /// The µ-array `µ_k[1..=max_cores]` of task `k`, computed on first use
     /// with `solver` and shared by every later query. For a platform slice
     /// of `c < max_cores` cores, use the first `c` entries.
@@ -402,25 +383,7 @@ impl<'ts> TaskSetCache<'ts> {
             .get_or_init(|| (0..self.task_set.len()).map(|_| OnceCell::new()).collect());
         per_task[k].get_or_init(|| {
             crate::metrics::CACHE_MU_BUILDS.inc();
-            match solver {
-                MuSolver::Clique => {
-                    let adjacency = self.parallel_adjacency(k);
-                    CLIQUE_SCRATCH.with(|scratch| {
-                        mu::mu_array_with(
-                            self.task_set.task(k).dag(),
-                            adjacency,
-                            self.max_cores,
-                            solver,
-                            &mut scratch.borrow_mut(),
-                        )
-                    })
-                }
-                // The ILP solver reads the DAG directly; don't touch the
-                // adjacency cell (or the clique scratch) on its behalf.
-                MuSolver::PaperIlp => {
-                    mu::mu_array(self.task_set.task(k).dag(), self.max_cores, solver)
-                }
-            }
+            mu::mu_array(self.task_set.task(k).dag(), self.max_cores, solver)
         })
     }
 

@@ -33,10 +33,15 @@
 //!
 //! Locking discipline: [`fetch`] and [`store`] are split so a concurrent
 //! server holds its mutex only for the O(lookup) parts and evaluates
-//! outside the lock; single-threaded callers use [`analyze`].
+//! outside the lock; single-threaded callers use [`analyze`]. A caller that
+//! owns its task set uses [`fetch_keyed`] / [`store_keyed`]: one hash for
+//! both, and a miss moves the set in instead of deep-cloning it (with the
+//! closures the analysis just built).
 //!
 //! [`fetch`]: AnalysisLru::fetch
 //! [`store`]: AnalysisLru::store
+//! [`fetch_keyed`]: AnalysisLru::fetch_keyed
+//! [`store_keyed`]: AnalysisLru::store_keyed
 //! [`analyze`]: AnalysisLru::analyze
 //!
 //! # Example
@@ -60,6 +65,7 @@ use crate::config::AnalysisConfig;
 use crate::report::ResponseBound;
 use crate::request::{AnalysisOutcome, AnalysisRequest, MethodOutcome};
 use rta_model::TaskSet;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Per-entry bound on remembered per-method facts. A cooperating client
@@ -203,8 +209,19 @@ impl AnalysisLru {
         task_set: &TaskSet,
         request: &AnalysisRequest,
     ) -> (Option<AnalysisOutcome>, CacheOutcome) {
+        self.fetch_keyed(task_set.stable_hash(), task_set, request)
+    }
+
+    /// [`fetch`](Self::fetch) with `key = task_set.stable_hash()` computed
+    /// by the caller (checked in debug builds).
+    pub fn fetch_keyed(
+        &mut self,
+        key: u64,
+        task_set: &TaskSet,
+        request: &AnalysisRequest,
+    ) -> (Option<AnalysisOutcome>, CacheOutcome) {
+        debug_assert_eq!(key, task_set.stable_hash(), "key is not the set's hash");
         self.clock += 1;
-        let key = task_set.stable_hash();
         let Some(entry) = self
             .entries
             .iter_mut()
@@ -267,19 +284,38 @@ impl AnalysisLru {
 
     /// Records an evaluated outcome: every `(configuration, method)` fact
     /// it carries becomes answerable, creating (and if necessary evicting
-    /// to make room for) the task set's entry.
+    /// to make room for) the task set's entry. A new entry holds a clone
+    /// of `task_set`.
     pub fn store(
         &mut self,
         task_set: &TaskSet,
         request: &AnalysisRequest,
         outcome: &AnalysisOutcome,
     ) {
+        self.store_keyed(
+            task_set.stable_hash(),
+            Cow::Borrowed(task_set),
+            request,
+            outcome,
+        );
+    }
+
+    /// [`store`](Self::store) with `key = task_set.stable_hash()` computed
+    /// by the caller (checked in debug builds). An owned `task_set` moves
+    /// into a new entry; a borrowed one is cloned only for a new entry.
+    pub fn store_keyed(
+        &mut self,
+        key: u64,
+        task_set: Cow<'_, TaskSet>,
+        request: &AnalysisRequest,
+        outcome: &AnalysisOutcome,
+    ) {
+        debug_assert_eq!(key, task_set.stable_hash(), "key is not the set's hash");
         self.clock += 1;
-        let key = task_set.stable_hash();
         let entry = match self
             .entries
             .iter_mut()
-            .position(|e| e.key == key && e.task_set == *task_set)
+            .position(|e| e.key == key && e.task_set == *task_set.as_ref())
         {
             Some(i) => &mut self.entries[i],
             None => {
@@ -296,7 +332,7 @@ impl AnalysisLru {
                 }
                 self.entries.push(Entry {
                     key,
-                    task_set: task_set.clone(),
+                    task_set: task_set.into_owned(),
                     verdicts: HashMap::new(),
                     bounds: HashMap::new(),
                     last_used: 0,
@@ -508,6 +544,28 @@ mod tests {
         lru.analyze(&small_set(3, 10), &small); // evicts b, not a
         assert_eq!(lru.analyze(&a, &small).1, CacheOutcome::Hit);
         assert_eq!(lru.analyze(&b, &small).1, CacheOutcome::Miss);
+    }
+
+    #[test]
+    fn keyed_and_wrapped_paths_record_the_same_facts() {
+        let ts = figure1_task_set();
+        let req = AnalysisRequest::new(4).with_bounds(true);
+        let outcome = req.evaluate(&ts);
+        let key = ts.stable_hash();
+        let mut keyed = AnalysisLru::new(2);
+        assert_eq!(
+            keyed.fetch_keyed(key, &ts, &req),
+            (None, CacheOutcome::Miss)
+        );
+        keyed.store_keyed(key, Cow::Owned(ts.clone()), &req, &outcome);
+        let mut wrapped = AnalysisLru::new(2);
+        assert_eq!(wrapped.fetch(&ts, &req), (None, CacheOutcome::Miss));
+        wrapped.store(&ts, &req, &outcome);
+        // Storing again under the same key records into the one entry.
+        keyed.store_keyed(key, Cow::Borrowed(&ts), &req, &outcome);
+        assert_eq!(keyed.len(), 1);
+        assert_eq!(keyed.fetch(&ts, &req), wrapped.fetch_keyed(key, &ts, &req));
+        assert_eq!(keyed.fetch(&ts, &req).0, Some(outcome));
     }
 
     #[test]

@@ -106,16 +106,15 @@ fn figure1_cached_mu_and_delta_match_uncached_for_all_core_counts() {
     }
 }
 
-/// Large platforms exercise the *mixed* suffix-DP column: every `e_m` at
-/// m ≥ 8 (with this few tasks) mixes DP-sized and too-large scenarios, so
-/// the cached value combines the shared DP column with a per-task solve of
-/// the remainder — and must still equal the direct computation exactly.
+/// Large platforms: on the Figure 1 set the cached Δ (one group-knapsack
+/// [`rta_analysis::cache::DeltaTable`] per solver pair) must equal the
+/// enumerating oracle over every partition of `m`, for every task at
+/// m = 8, 12 and 16, where most cores exceed every µ-array's width.
 #[test]
 fn figure1_cached_delta_matches_uncached_up_to_16_cores() {
     let ts = figure1_task_set();
     let cache = TaskSetCache::new(&ts, 16);
-    // Query in priority order (like the analysis) so column mode engages
-    // from the second distinct task on.
+    // Query in priority order, like the analysis.
     for space in [ScenarioSpace::PaperExact, ScenarioSpace::Extended] {
         for m in [8usize, 12, 16] {
             for k in 0..ts.len() {

@@ -43,7 +43,9 @@
 //! ```
 //!
 //! Any failure — malformed JSON, schema violations, unknown schema
-//! versions, model violations such as cyclic DAGs, oversized frames, an
+//! versions, model violations such as cyclic DAGs, oversized frames,
+//! frames nesting arrays/objects deeper than
+//! [`json::MAX_NESTING_DEPTH`] (128 levels; a valid request nests 7), an
 //! exhausted connection pool, a stalled client — produces a structured
 //! error on the same path and the server keeps serving (no panic, no
 //! abandoned socket):
@@ -52,8 +54,9 @@
 //! {"v":1,"ok":false,"error":{"kind":"model","message":"..."}}
 //! ```
 //!
-//! `kind` is one of `syntax`, `schema`, `version`, `model`, `protocol`,
-//! `too_large`, `overloaded`, `timeout`. Three special frames bypass
+//! `kind` is one of `syntax`, `schema`, `version`, `model`, `protocol`
+//! (which covers the nesting limit), `too_large`, `overloaded`,
+//! `timeout`. Three special frames bypass
 //! analysis: `{"stats":true}` reports counters, `{"metrics":true}`
 //! returns the process-global [`rta_obs`] registry (per-method verdict
 //! latency histograms, cache counters, simulator and server telemetry)
@@ -155,6 +158,7 @@ use rta_analysis::{AnalysisLru, AnalysisRequest, CacheOutcome, Method};
 use rta_model::json::{self, JsonError, Value};
 use rta_model::{TaskSet, Time};
 use rta_sim::{PreemptionPolicy, SimOutcome, SimRequest};
+use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -700,6 +704,9 @@ impl From<JsonError> for WireError {
             JsonError::Schema(_) => "schema",
             JsonError::UnknownVersion { .. } => "version",
             JsonError::Model(_) => "model",
+            // A nesting bomb is a frame the protocol refuses, not bad
+            // task-set data.
+            JsonError::TooDeep { .. } => "protocol",
         };
         Self {
             kind,
@@ -864,21 +871,24 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             }
             // Hold the cache lock only for the O(lookup) parts; the
             // analysis itself runs unlocked so connections that miss
-            // do not serialize behind each other.
+            // do not serialize behind each other. The set is hashed once,
+            // and a miss moves it into the cache rather than cloning it.
+            let key = task_set.stable_hash();
             let fetched = state
                 .lru
                 .lock()
                 .expect("lru lock")
-                .fetch(&task_set, &request);
+                .fetch_keyed(key, &task_set, &request);
             let (outcome, status) = match fetched {
                 (Some(outcome), status) => (outcome, status),
                 (None, status) => {
                     let outcome = request.evaluate(&task_set);
-                    state
-                        .lru
-                        .lock()
-                        .expect("lru lock")
-                        .store(&task_set, &request, &outcome);
+                    state.lru.lock().expect("lru lock").store_keyed(
+                        key,
+                        Cow::Owned(task_set),
+                        &request,
+                        &outcome,
+                    );
                     (outcome, status)
                 }
             };

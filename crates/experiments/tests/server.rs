@@ -148,6 +148,23 @@ fn cores_past_max_cores_get_a_structured_error() {
 }
 
 #[test]
+fn deep_nesting_gets_a_structured_error_and_the_server_keeps_serving() {
+    // 500 KB of `[` fits the default 1 MiB frame cap; a recursive parser
+    // without a depth limit overflows its stack on it.
+    let handle = serve_with(|_| {});
+    let mut client = Client::connect(&handle);
+    let response = client.send(&"[".repeat(500_000));
+    assert!(response.contains("\"ok\":false"), "{response}");
+    assert!(response.contains("\"kind\":\"protocol\""), "{response}");
+    assert!(response.contains("deeper than 128"), "{response}");
+    // The server is alive: a new connection gets a verdict.
+    let mut fresh = Client::connect(&handle);
+    let response = fresh.send(&analyze_frame(FIGURE1_SET));
+    assert!(response.contains("\"ok\":true"), "{response}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_frames_error_and_resynchronize() {
     let handle = test_server(512);
     let mut client = Client::connect(&handle);

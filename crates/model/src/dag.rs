@@ -89,24 +89,22 @@ impl Dag {
     /// Transitive closures along the topological order, computed on first
     /// use and shared by every later query.
     fn closures(&self) -> &Closures {
+        // Each closure starts as a copy of the direct edges and absorbs its
+        // neighbours' finished closures in place: one allocation per set.
+        fn close(direct: &[BitSet], order: impl Iterator<Item = usize>) -> Vec<BitSet> {
+            let mut closure = direct.to_vec();
+            for v in order {
+                let mut reach = std::mem::take(&mut closure[v]);
+                for u in direct[v].iter() {
+                    reach.union_with(&closure[u]);
+                }
+                closure[v] = reach;
+            }
+            closure
+        }
         self.closures.get_or_init(|| {
-            let n = self.wcets.len();
-            let mut descendants = vec![BitSet::with_capacity(n); n];
-            for &v in self.topo.iter().rev() {
-                let mut d = self.succ[v.index()].clone();
-                for s in self.succ[v.index()].iter() {
-                    d.union_with(&descendants[s]);
-                }
-                descendants[v.index()] = d;
-            }
-            let mut ancestors = vec![BitSet::with_capacity(n); n];
-            for &v in &self.topo {
-                let mut a = self.pred[v.index()].clone();
-                for p in self.pred[v.index()].iter() {
-                    a.union_with(&ancestors[p]);
-                }
-                ancestors[v.index()] = a;
-            }
+            let descendants = close(&self.succ, self.topo.iter().rev().map(|v| v.index()));
+            let ancestors = close(&self.pred, self.topo.iter().map(|v| v.index()));
             Closures {
                 ancestors,
                 descendants,
@@ -280,24 +278,19 @@ impl Dag {
         lengths
     }
 
-    /// The maximum number of nodes that can execute simultaneously: the size
-    /// of the largest antichain of the precedence order.
+    /// The maximum number of nodes that can execute simultaneously: the
+    /// width of the precedence order (its largest antichain).
     ///
-    /// Computed by growing the required clique size over the parallelism
-    /// graph; DAG tasks are small (the paper caps them at 30 nodes), so the
-    /// exact search is cheap.
+    /// Computed exactly by Dilworth's theorem as `n` minus a maximum
+    /// bipartite matching on the descendant closure
+    /// ([`rta_combinatorics::WeightedPoset::width`]), with no antichain
+    /// search.
     pub fn max_parallelism(&self) -> usize {
-        let adjacency = crate::parallel::parallel_adjacency(self);
-        let weights = vec![1u64; self.node_count()];
-        let mut best = 1;
-        for size in 2..=self.node_count() {
-            if rta_combinatorics::max_weight_clique_of_size(&adjacency, &weights, size).is_some() {
-                best = size;
-            } else {
-                break;
-            }
-        }
-        best
+        rta_combinatorics::WeightedPoset::new(
+            &self.wcets,
+            self.nodes().map(|v| self.descendants(v)),
+        )
+        .width()
     }
 }
 

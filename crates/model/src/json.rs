@@ -65,6 +65,11 @@ use std::fmt::Write as _;
 /// version 1.
 pub const TASK_SET_SCHEMA_VERSION: u64 = 1;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts: the reader
+/// recurses once per level, so this bounds its stack (a `repro serve`
+/// request nests 7 levels).
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Why a JSON document could not be turned into a model value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonError {
@@ -88,6 +93,13 @@ pub enum JsonError {
     /// Schema-valid input rejected by a model constructor (e.g. a cycle or
     /// a deadline exceeding the period).
     Model(ModelError),
+    /// Arrays and objects nest deeper than [`MAX_NESTING_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first bracket past the limit.
+        offset: usize,
+        /// The limit ([`MAX_NESTING_DEPTH`]).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for JsonError {
@@ -102,6 +114,10 @@ impl fmt::Display for JsonError {
                 "unsupported task-set schema version {found} (this build reads up to {supported})"
             ),
             JsonError::Model(e) => write!(f, "parsed JSON violates the task model: {e}"),
+            JsonError::TooDeep { offset, limit } => write!(
+                f,
+                "JSON nests deeper than {limit} arrays/objects at byte {offset}"
+            ),
         }
     }
 }
@@ -327,6 +343,8 @@ impl Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -360,8 +378,22 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING_DEPTH {
+                    return Err(JsonError::TooDeep {
+                        offset: self.pos,
+                        limit: MAX_NESTING_DEPTH,
+                    });
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -575,11 +607,13 @@ fn utf8_len(first: u8) -> usize {
 /// # Errors
 ///
 /// Returns [`JsonError::Syntax`] when the text is not well-formed JSON or
-/// has trailing characters after the document.
+/// has trailing characters after the document, and [`JsonError::TooDeep`]
+/// when it nests past [`MAX_NESTING_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -778,6 +812,32 @@ mod tests {
     fn syntax_errors_are_reported_with_offset() {
         let err = task_from_json("{\"period\": }").unwrap_err();
         assert!(matches!(err, JsonError::Syntax { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_structured_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_NESTING_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            JsonError::TooDeep {
+                offset: MAX_NESTING_DEPTH,
+                limit: MAX_NESTING_DEPTH
+            }
+        );
+        // Objects count too, and an unterminated bomb far past the limit
+        // fails the same way instead of exhausting the stack.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING_DEPTH + 1),
+            "}".repeat(MAX_NESTING_DEPTH + 1)
+        );
+        assert!(matches!(parse(&objects), Err(JsonError::TooDeep { .. })));
+        assert!(matches!(
+            parse(&"[".repeat(500_000)),
+            Err(JsonError::TooDeep { .. })
+        ));
     }
 
     #[test]

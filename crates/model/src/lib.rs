@@ -63,7 +63,7 @@ pub mod time;
 pub use dag::{Dag, DagBuilder};
 pub use error::ModelError;
 pub use ids::{NodeId, TaskId};
-pub use parallel::{parallel_adjacency, parallel_sets_algorithm1, parallel_sets_exact};
+pub use parallel::{parallel_sets_algorithm1, parallel_sets_exact};
 pub use task::DagTask;
 pub use taskset::TaskSet;
 pub use time::Time;

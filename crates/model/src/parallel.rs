@@ -111,13 +111,6 @@ pub fn parallel_sets_algorithm1(dag: &Dag) -> Vec<BitSet> {
     par
 }
 
-/// Symmetric adjacency of the "can execute in parallel" relation, suitable
-/// for [`rta_combinatorics::max_weight_clique_of_size`]. Uses the exact
-/// parallel sets.
-pub fn parallel_adjacency(dag: &Dag) -> Vec<BitSet> {
-    parallel_sets_exact(dag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
